@@ -11,8 +11,10 @@
 //!   from the back of a sibling's deque, so stragglers' queues drain
 //!   instead of idling the rest of the machine;
 //! - worker count is capped at [`std::thread::available_parallelism`]
-//!   (and at the job count), so nested pools degrade to serial execution
-//!   rather than oversubscribing;
+//!   (and at the job count), and a pool started from inside another
+//!   multi-worker pool's job runs its jobs inline on that worker, so
+//!   nested pools degrade to serial execution rather than
+//!   oversubscribing;
 //! - results land in their job's slot, so the output order — and
 //!   therefore every downstream artifact — is **identical to a serial
 //!   run** regardless of scheduling.
@@ -20,9 +22,32 @@
 //! The caller's thread participates as worker 0: `run` never blocks a
 //! core on pure coordination.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set while this thread works for a multi-worker pool.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as a pool worker until dropped, then
+/// restores the previous mark (the caller's thread is worker 0 and
+/// outlives the pool).
+struct WorkerMark(bool);
+
+impl WorkerMark {
+    fn enter() -> Self {
+        WorkerMark(IN_POOL.with(|f| f.replace(true)))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_POOL.with(|f| f.set(self.0));
+    }
+}
 
 /// A bounded pool; see the module docs.
 #[derive(Debug, Clone, Copy)]
@@ -57,9 +82,10 @@ impl Pool {
 
     /// Runs every job, returning results in job order.
     ///
-    /// Jobs must be independent; they may freely use nested pools (the
-    /// cap is per-pool, and a fully-loaded machine just runs the inner
-    /// jobs on the caller's thread).
+    /// Jobs must be independent; they may freely use nested pools. A
+    /// pool run from inside another multi-worker pool's job runs its
+    /// jobs inline on that worker's thread, in job order: the outer
+    /// pool already keeps every core busy.
     pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -69,7 +95,7 @@ impl Pool {
         if n == 0 {
             return Vec::new();
         }
-        let workers = self.workers.min(n);
+        let workers = if IN_POOL.with(Cell::get) { 1 } else { self.workers.min(n) };
         if workers == 1 {
             return jobs.into_iter().map(|job| job()).collect();
         }
@@ -119,8 +145,12 @@ impl Pool {
 
         std::thread::scope(|scope| {
             for w in 1..workers {
-                scope.spawn(move || worker_loop(w));
+                scope.spawn(move || {
+                    let _mark = WorkerMark::enter();
+                    worker_loop(w)
+                });
             }
+            let _mark = WorkerMark::enter();
             worker_loop(0); // the caller works too
         });
 
@@ -220,6 +250,25 @@ mod tests {
         });
         assert_eq!(sums.len(), 6);
         assert_eq!(sums[1], (100..110u64).sum::<u64>());
+    }
+
+    #[test]
+    fn nested_pool_runs_inline_on_the_calling_worker() {
+        let outer = Pool::with_workers(3);
+        let rows = outer.map((0..6u64).collect(), |i| {
+            let me = std::thread::current().id();
+            let inner = Pool::with_workers(4);
+            let jobs = inner
+                .map((0..10u64).collect(), move |j| (i * 100 + j, std::thread::current().id()));
+            (me, jobs)
+        });
+        for (i, (me, jobs)) in rows.iter().enumerate() {
+            let values: Vec<u64> = jobs.iter().map(|(v, _)| *v).collect();
+            assert_eq!(values, (0..10).map(|j| i as u64 * 100 + j).collect::<Vec<_>>());
+            assert!(jobs.iter().all(|(_, t)| t == me), "a nested job left its worker's thread");
+        }
+        // Outside any pool, the mark is clear again: a fresh pool fans out.
+        assert!(!IN_POOL.with(Cell::get));
     }
 
     #[test]

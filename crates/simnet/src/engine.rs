@@ -39,7 +39,7 @@
 
 use crate::fault::{FaultAction, FaultPlan};
 use crate::nf::NfVerdict;
-use crate::packet::Packet;
+use crate::packet::{Packet, PayloadSynth};
 use crate::sanitizer::OrderSanitizer;
 use crate::sched::{EventScheduler, SchedulerKind};
 use crate::service::ServiceModel;
@@ -277,7 +277,8 @@ impl StageState {
     /// caller has already bumped `busy`/`in_service_pkts` and emitted
     /// its dispatch hook.
     #[inline]
-    fn begin_service(&mut self, stage: usize, pkt: Packet, t: u64, core: &mut EventCore) {
+    fn begin_service(&mut self, stage: usize, mut pkt: Packet, t: u64, core: &mut EventCore) {
+        core.fill_payload(&mut pkt);
         let (verdict, svc_ns) = self.cfg.service.serve(&pkt);
         let svc_ns = scaled(svc_ns, self.slow_factor);
         self.busy_ns += u128::from(svc_ns);
@@ -438,6 +439,9 @@ pub(crate) struct EventCore {
     /// Sharded runs only: the stage-ownership map and per-destination
     /// outboxes. `None` (serial runs) keeps `forward` on its old path.
     pub(crate) route: Option<crate::shard::ShardRoute>,
+    /// Payload synthesis for payload pipelines, applied as each packet
+    /// starts service. `None` leaves packets header-only.
+    pub(crate) synth: Option<PayloadSynth>,
 }
 
 impl EventCore {
@@ -454,6 +458,15 @@ impl EventCore {
         let s = self.seq;
         self.seq += 1;
         s
+    }
+
+    /// Gives `pkt` its payload bytes as it starts service — the single
+    /// point where payload pipelines synthesize them.
+    #[inline]
+    fn fill_payload(&self, pkt: &mut Packet) {
+        if let Some(synth) = &self.synth {
+            synth.fill(pkt);
+        }
     }
 
     /// Counts a dispatched event (the old slab's take-side accounting).
@@ -583,6 +596,7 @@ impl EventCore {
             batch_free: Vec::new(),
             fused,
             route,
+            synth: None,
         }
     }
 
@@ -718,10 +732,11 @@ fn try_flush_batches(
         results.reserve(n);
         for _ in 0..n {
             // lint: allow(P1, reason = "invariant: loop condition just checked the queue holds at least max_batch (or is non-empty under force)")
-            let (enq_t, pkt) = st.queue.pop_front().expect("checked non-empty");
+            let (enq_t, mut pkt) = st.queue.pop_front().expect("checked non-empty");
             if let Some(o) = obs.as_mut() {
                 o.on_dispatch(t, pkt.id, stage, t - enq_t);
             }
+            core.fill_payload(&mut pkt);
             let (verdict, svc_ns) = st.cfg.service.serve(&pkt);
             total_ns += svc_ns;
             results.push((pkt, verdict));
@@ -886,6 +901,14 @@ impl Engine {
     pub fn with_payloads(mut self, cfg: PayloadConfig) -> Self {
         self.payload = Some(cfg);
         self
+    }
+
+    /// The payload synthesis of one run seeded with `payload_seed`, if
+    /// payloads are enabled.
+    pub(crate) fn payload_synth(&self, payload_seed: u64) -> Option<PayloadSynth> {
+        self.payload
+            .as_ref()
+            .map(|p| PayloadSynth::new(payload_seed, p.attack_prob, p.needles.clone()))
     }
 
     /// Runs `workload` for `duration_ns` of simulated time, measuring
@@ -1292,6 +1315,7 @@ impl Engine {
             batch_free: std::mem::take(&mut self.batch_free),
             fused: self.fused,
             route: None,
+            synth: self.payload_synth(payload_seed),
         };
         core.fwd.clear();
         core.arrive_slots.clear();
@@ -1336,20 +1360,12 @@ impl Engine {
         // monotone, so holding the single next stub (rather than the
         // whole packet sequence) preserves event order exactly while
         // keeping memory independent of run length. Packet ids number
-        // arrivals in stub order.
-        let needle_refs: Vec<Vec<u8>> =
-            self.payload.as_ref().map(|p| p.needles.clone()).unwrap_or_default();
-        let refs: Vec<&[u8]> = needle_refs.iter().map(|n| n.as_slice()).collect();
-        let attack_prob = self.payload.as_ref().map(|p| p.attack_prob);
+        // arrivals in stub order. Packets arrive header-only; payload
+        // pipelines fill the bytes in at service entry.
         let mut pkt_id = 0u64;
         let mut stubs = stubs.take_while(|stub| stub.t_ns < duration_ns);
         let make_packet = |stub: apples_workload::PacketStub, id: u64| {
-            let mut pkt = Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns);
-            if let Some(prob) = attack_prob {
-                let len = (stub.size_bytes as usize).saturating_sub(54); // L2-L4 headers
-                pkt = pkt.with_payload(len, payload_seed, prob, &refs);
-            }
-            pkt
+            Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns)
         };
         let mut next_arrival: Option<Packet> = stubs.next().map(|s| {
             let p = make_packet(s, pkt_id);

@@ -6,7 +6,7 @@
 
 use super::{FailMode, NetworkFunction, NfVerdict};
 use crate::packet::Packet;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Cycles per payload byte scanned (automaton transition + load).
 pub const PER_BYTE_CYCLES: u64 = 4;
@@ -22,14 +22,15 @@ pub enum MatchPolicy {
     Alert,
 }
 
-/// A classical Aho–Corasick automaton over byte patterns.
+/// A classical Aho–Corasick automaton over byte patterns, folded into
+/// a dense DFA: one 256-wide row of next states per automaton state.
 #[derive(Debug, Clone)]
 pub struct AhoCorasick {
-    // goto function: per-state byte -> state. Ordered map so automaton
-    // construction (BFS over transitions) is insertion-order
-    // independent and fully deterministic.
-    goto_: Vec<BTreeMap<u8, u32>>,
-    fail: Vec<u32>,
+    // delta[state * 256 + byte] -> next state * 256: row-major, one
+    // 256-wide row per state, failure links already folded in. States
+    // are stored premultiplied by 256 (as their row offset), so the scan
+    // is one add and one load per byte.
+    delta: Vec<u32>,
     // number of patterns ending at each state (via output links).
     out: Vec<u32>,
 }
@@ -38,6 +39,9 @@ impl AhoCorasick {
     /// Builds the automaton from the given patterns (empty patterns are
     /// ignored).
     pub fn build(patterns: &[&[u8]]) -> Self {
+        // goto function: per-state byte -> state. Ordered map so state
+        // numbering and the BFS over transitions are insertion-order
+        // independent and fully deterministic.
         let mut goto_: Vec<BTreeMap<u8, u32>> = vec![BTreeMap::new()];
         let mut out: Vec<u32> = vec![0];
 
@@ -62,54 +66,42 @@ impl AhoCorasick {
             out[state as usize] += 1;
         }
 
-        // BFS failure links.
+        // BFS from the root. A state's failure target is strictly
+        // shallower, so its dense row is complete before the state's own
+        // row copies from it: a missing goto edge takes the failure
+        // target's transition, and the root's missing edges loop home.
+        assert!(goto_.len() <= 1 << 24, "row offsets of more than 2^24 states overflow u32");
+        let mut delta = vec![0u32; goto_.len() * 256];
         let mut fail = vec![0u32; goto_.len()];
-        let mut queue: std::collections::VecDeque<u32> = goto_[0].values().copied().collect();
+        for (&b, &t) in &goto_[0] {
+            delta[usize::from(b)] = t * 256;
+        }
+        let mut queue: VecDeque<u32> = goto_[0].values().copied().collect();
         while let Some(s) = queue.pop_front() {
-            let transitions: Vec<(u8, u32)> =
-                goto_[s as usize].iter().map(|(b, t)| (*b, *t)).collect();
-            for (b, t) in transitions {
-                queue.push_back(t);
-                let mut f = fail[s as usize];
-                loop {
-                    if let Some(&next) = goto_[f as usize].get(&b) {
-                        if next != t {
-                            fail[t as usize] = next;
-                        }
-                        break;
-                    }
-                    if f == 0 {
-                        break;
-                    }
-                    f = fail[f as usize];
-                }
+            let (row, fail_row) = (s as usize * 256, fail[s as usize] as usize * 256);
+            delta.copy_within(fail_row..fail_row + 256, row);
+            for (&b, &t) in &goto_[s as usize] {
+                delta[row + usize::from(b)] = t * 256;
+                fail[t as usize] = delta[fail_row + usize::from(b)] / 256;
                 out[t as usize] += out[fail[t as usize] as usize];
+                queue.push_back(t);
             }
         }
-        AhoCorasick { goto_, fail, out }
+        AhoCorasick { delta, out }
     }
 
     /// Number of automaton states.
     pub fn states(&self) -> usize {
-        self.goto_.len()
+        self.out.len()
     }
 
     /// Counts pattern occurrences in `haystack`.
     pub fn count_matches(&self, haystack: &[u8]) -> u64 {
-        let mut state = 0u32;
+        let mut row = 0usize;
         let mut matches = 0u64;
         for &b in haystack {
-            loop {
-                if let Some(&next) = self.goto_[state as usize].get(&b) {
-                    state = next;
-                    break;
-                }
-                if state == 0 {
-                    break;
-                }
-                state = self.fail[state as usize];
-            }
-            matches += u64::from(self.out[state as usize]);
+            row = self.delta[row + usize::from(b)] as usize;
+            matches += u64::from(self.out[row / 256]);
         }
         matches
     }
@@ -261,6 +253,8 @@ mod tests {
         let sigs = Dpi::demo_signatures();
         let ac = AhoCorasick::build(&sigs);
         assert!(ac.states() > sigs.len());
+        // The root plus one state per signature byte: no two share a prefix.
+        assert_eq!(ac.states(), 1 + sigs.iter().map(|s| s.len()).sum::<usize>());
         assert_eq!(ac.count_matches(b"please DROP TABLE users"), 1);
     }
 }

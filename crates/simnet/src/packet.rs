@@ -3,9 +3,10 @@
 //! A [`Packet`] carries its wire size, flow identity (an IPv4 5-tuple
 //! from the workload generator), arrival timestamp, and — only when a
 //! payload-inspecting function is in the pipeline — synthesized payload
-//! bytes. Payloads use the in-repo [`Payload`] type: clones inside the
-//! pipeline are reference-counted, not copied, and the (overwhelmingly
-//! common) empty payload allocates nothing at all.
+//! bytes, filled in when the packet first starts service. Payloads use
+//! the in-repo [`Payload`] type: clones inside the pipeline are
+//! reference-counted, not copied, and the (overwhelmingly common) empty
+//! payload allocates nothing at all.
 
 use apples_rng::Rng;
 use apples_workload::FiveTuple;
@@ -109,20 +110,7 @@ impl Packet {
         attack_prob: f64,
         needles: &[&[u8]],
     ) -> Self {
-        let mut rng = Rng::seed_from_u64(seed ^ self.id.wrapping_mul(0x9E3779B97F4A7C15));
-        let mut buf = vec![0u8; len];
-        // Printable-ish filler so needles are unambiguous.
-        for b in buf.iter_mut() {
-            *b = rng.range_u8_inclusive(b'a', b'z');
-        }
-        if !needles.is_empty() && len > 0 && rng.gen_bool(attack_prob) {
-            let needle = needles[rng.range_usize(0, needles.len())];
-            if needle.len() <= len {
-                let off = rng.range_usize(0, len - needle.len() + 1);
-                buf[off..off + needle.len()].copy_from_slice(needle);
-            }
-        }
-        self.payload = Payload::from_vec(buf);
+        self.payload = synth_payload(seed, self.id, len, attack_prob, needles);
         self
     }
 
@@ -132,6 +120,64 @@ impl Packet {
     #[inline]
     pub fn wire_bits(&self) -> u64 {
         u64::from(self.size_bytes + 20) * 8
+    }
+}
+
+/// L2–L4 header bytes of a frame; the rest of `size_bytes` is payload.
+const HEADER_BYTES: u32 = 54;
+
+/// The synthesized payload of packet `id`: `len` bytes, a pure function
+/// of `(seed, id, len, attack_prob, needles)`. With probability
+/// `attack_prob`, one of `needles` is embedded at a random offset.
+/// [`Packet::with_payload`] and [`PayloadSynth::fill`] both call it.
+fn synth_payload<N: AsRef<[u8]>>(
+    seed: u64,
+    id: u64,
+    len: usize,
+    attack_prob: f64,
+    needles: &[N],
+) -> Payload {
+    let mut rng = Rng::seed_from_u64(seed ^ id.wrapping_mul(0x9E3779B97F4A7C15));
+    let mut buf = vec![0u8; len];
+    // Printable-ish filler so needles are unambiguous.
+    for b in buf.iter_mut() {
+        *b = rng.range_u8_inclusive(b'a', b'z');
+    }
+    if !needles.is_empty() && len > 0 && rng.gen_bool(attack_prob) {
+        let needle = needles[rng.range_usize(0, needles.len())].as_ref();
+        if needle.len() <= len {
+            let off = rng.range_usize(0, len - needle.len() + 1);
+            buf[off..off + needle.len()].copy_from_slice(needle);
+        }
+    }
+    Payload::from_vec(buf)
+}
+
+/// A run's payload synthesis, deferred to service entry. Packets enter
+/// the engine header-only; the engine calls [`PayloadSynth::fill`] on
+/// each packet as it starts service, so packets dropped at a queue never
+/// pay for bytes no function reads. Because the bytes depend only on
+/// `(seed, id, len)` and no function reads a payload before it is
+/// served, the result is the same as synthesizing at arrival.
+#[derive(Debug, Clone)]
+pub(crate) struct PayloadSynth {
+    seed: u64,
+    attack_prob: f64,
+    needles: Vec<Vec<u8>>,
+}
+
+impl PayloadSynth {
+    pub(crate) fn new(seed: u64, attack_prob: f64, needles: Vec<Vec<u8>>) -> Self {
+        PayloadSynth { seed, attack_prob, needles }
+    }
+
+    /// Gives `pkt` its payload unless an earlier stage already did.
+    #[inline]
+    pub(crate) fn fill(&self, pkt: &mut Packet) {
+        let len = pkt.size_bytes.saturating_sub(HEADER_BYTES) as usize;
+        if len > 0 && pkt.payload.is_empty() {
+            pkt.payload = synth_payload(self.seed, pkt.id, len, self.attack_prob, &self.needles);
+        }
     }
 }
 
@@ -186,6 +232,39 @@ mod tests {
         let needles: &[&[u8]] = &[b"AVERYLONGNEEDLE"];
         let p = Packet::new(1, 0, tuple(), 64, 0).with_payload(4, 1, 1.0, needles);
         assert_eq!(p.payload.len(), 4);
+    }
+
+    #[test]
+    fn deferred_fill_matches_eager_with_payload() {
+        let needles: Vec<Vec<u8>> =
+            vec![b"EVILPATTERN".to_vec(), b"cmd.exe".to_vec(), b"\x90\x90\x90\x90".to_vec()];
+        let refs: Vec<&[u8]> = needles.iter().map(Vec::as_slice).collect();
+        let mut rng = Rng::seed_from_u64(0xDEF3);
+        for len in [0usize, 1, 10, 11, 1446] {
+            for attack_prob in [0.0, 0.01, 1.0] {
+                for _ in 0..40 {
+                    let (id, seed) = (rng.next_u64(), rng.next_u64());
+                    let size = len as u32 + HEADER_BYTES;
+                    let eager = Packet::new(id, 0, tuple(), size, 0).with_payload(
+                        len,
+                        seed,
+                        attack_prob,
+                        &refs,
+                    );
+                    let synth = PayloadSynth::new(seed, attack_prob, needles.clone());
+                    let mut deferred = Packet::new(id, 0, tuple(), size, 0);
+                    synth.fill(&mut deferred);
+                    assert_eq!(
+                        deferred.payload, eager.payload,
+                        "id {id} len {len} p {attack_prob}"
+                    );
+                    // A later stage's fill keeps the bytes it was given.
+                    let first = deferred.payload.as_ptr();
+                    synth.fill(&mut deferred);
+                    assert_eq!(deferred.payload.as_ptr(), first);
+                }
+            }
+        }
     }
 
     #[test]

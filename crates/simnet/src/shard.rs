@@ -494,40 +494,23 @@ impl ArrivalSource for NoArrivals {
 }
 
 /// Lazy arrival injection for the entry shard — the serial loop's
-/// logic verbatim: one pending stub at a time, packet ids in stub
-/// order, payload synthesis, and the plan's injection-point hash
-/// decisions (drops / corruption).
+/// logic verbatim: one pending stub at a time, header-only packets with
+/// ids in stub order (payloads are filled at service entry, on whichever
+/// shard serves first), and the plan's injection-point hash decisions
+/// (drops / corruption).
 struct EntryArrivals<I: Iterator<Item = apples_workload::PacketStub>> {
     stubs: I,
     next: Option<Packet>,
     pkt_id: u64,
-    payload_seed: u64,
-    attack_prob: Option<f64>,
-    needles: Vec<Vec<u8>>,
     faults: Option<FaultPlan>,
     injected_drops: u64,
     corrupted: u64,
 }
 
 impl<I: Iterator<Item = apples_workload::PacketStub>> EntryArrivals<I> {
-    fn new(
-        stubs: I,
-        payload_seed: u64,
-        attack_prob: Option<f64>,
-        needles: Vec<Vec<u8>>,
-        faults: Option<FaultPlan>,
-    ) -> Self {
-        let mut ea = EntryArrivals {
-            stubs,
-            next: None,
-            pkt_id: 0,
-            payload_seed,
-            attack_prob,
-            needles,
-            faults,
-            injected_drops: 0,
-            corrupted: 0,
-        };
+    fn new(stubs: I, faults: Option<FaultPlan>) -> Self {
+        let mut ea =
+            EntryArrivals { stubs, next: None, pkt_id: 0, faults, injected_drops: 0, corrupted: 0 };
         ea.next = ea.stubs.next().map(|s| ea.make(s));
         ea
     }
@@ -535,13 +518,7 @@ impl<I: Iterator<Item = apples_workload::PacketStub>> EntryArrivals<I> {
     fn make(&mut self, stub: apples_workload::PacketStub) -> Packet {
         let id = self.pkt_id;
         self.pkt_id += 1;
-        let mut pkt = Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns);
-        if let Some(prob) = self.attack_prob {
-            let len = (stub.size_bytes as usize).saturating_sub(54); // L2-L4 headers
-            let refs: Vec<&[u8]> = self.needles.iter().map(|n| n.as_slice()).collect();
-            pkt = pkt.with_payload(len, self.payload_seed, prob, &refs);
-        }
-        pkt
+        Packet::new(id, stub.flow, stub.tuple, stub.size_bytes, stub.t_ns)
     }
 }
 
@@ -804,6 +781,7 @@ pub(crate) fn run_sharded(
             }
             let route = ShardRoute { owner: plan.owner.clone(), me: s, out: vec![Vec::new(); n] };
             let mut core = EventCore::new_for_run(engine.scheduler, engine.fused, Some(route));
+            core.synth = engine.payload_synth(payload_seed);
             // The shard's slice of the fault plan gets its lowest local
             // seqs, mirroring the serial engine pushing the whole plan
             // first; plan order within a shard is preserved.
@@ -864,13 +842,8 @@ pub(crate) fn run_sharded(
         // lint: allow(S1, reason = "epoch-barrier shard runtime: mailbox cells are single-writer single-reader per phase; the Mutex only satisfies Sync across the scope spawn")
         (0..n).map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect()).collect();
 
-    let mut entry_arrivals = EntryArrivals::new(
-        stubs.take_while(|stub| stub.t_ns < duration_ns),
-        payload_seed,
-        engine.payload.as_ref().map(|p| p.attack_prob),
-        engine.payload.as_ref().map(|p| p.needles.clone()).unwrap_or_default(),
-        fault_plan.clone(),
-    );
+    let mut entry_arrivals =
+        EntryArrivals::new(stubs.take_while(|stub| stub.t_ns < duration_ns), fault_plan.clone());
 
     // lint: allow(D3, reason = "epoch-barrier shard workers: scoped threads joined before return; every cross-thread interaction is barrier-ordered and the merge discipline makes results byte-identical to the serial engine")
     let finished: Vec<(usize, ShardCtx)> = std::thread::scope(|scope| {

@@ -11,6 +11,7 @@
 //! order, these tests break today instead of during that refactor.
 
 use apples_simnet::fault::FaultSpec;
+use apples_simnet::nf::dpi::{Dpi, MatchPolicy};
 use apples_simnet::nf::firewall::{synth_rules, Action, Firewall};
 use apples_simnet::nf::NfChain;
 use apples_simnet::sched::SchedulerKind;
@@ -80,6 +81,47 @@ fn sanitized_runs_are_byte_identical_across_contenders_and_schedulers() {
             // Perturbed sanitizer: shuffled equivalence classes, same bytes.
             let (perturbed, _) =
                 mk().with_scheduler(kind).run_sanitized(&wl, RUN_NS, WARMUP_NS, Some(0xD15F));
+            assert_identical(name, &plain, &perturbed, "perturb");
+        }
+    }
+}
+
+#[test]
+fn sanitized_payload_runs_are_byte_identical() {
+    // DPI deployments shaped like the IPS experiment's host and FPGA
+    // contenders. Payload bytes are synthesized as packets start
+    // service, so a perturbed dispatch order must not move them.
+    let ips_chain =
+        || NfChain::new(vec![Box::new(Dpi::new(&Dpi::demo_signatures(), MatchPolicy::Block))]);
+    let needles = || Dpi::demo_signatures().iter().map(|s| s.to_vec()).collect::<Vec<_>>();
+    let contenders: Vec<Contender> = vec![
+        (
+            "ips-host-2c",
+            Box::new(move || {
+                Deployment::cpu_host_contended("ips-host-2c", 2, 0.05, ips_chain)
+                    .with_payloads(0.05, needles())
+            }),
+        ),
+        (
+            "ips-fpga",
+            Box::new(move || {
+                Deployment::fpga_offload("ips-fpga", ips_chain, 1, NfChain::empty)
+                    .with_payloads(0.05, needles())
+            }),
+        ),
+    ];
+    let (run_ns, warmup_ns) = (3_000_000, 300_000);
+    let wl = WorkloadSpec::cbr(2e6, 1500, 16, 5);
+    for (name, mk) in contenders {
+        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
+            let plain = mk().with_scheduler(kind).run(&wl, run_ns, warmup_ns);
+            assert!(plain.policy_drops > 0, "{name}: no payload ever matched a signature");
+            let (checked, rep) =
+                mk().with_scheduler(kind).run_sanitized(&wl, run_ns, warmup_ns, None);
+            assert_identical(name, &plain, &checked, "check");
+            assert!(rep.events > 0, "{name}: sanitizer saw no events");
+            let (perturbed, _) =
+                mk().with_scheduler(kind).run_sanitized(&wl, run_ns, warmup_ns, Some(0xD15F));
             assert_identical(name, &plain, &perturbed, "perturb");
         }
     }

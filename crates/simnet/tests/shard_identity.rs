@@ -8,6 +8,7 @@
 
 use apples_simnet::engine::BatchPolicy;
 use apples_simnet::fault::FaultSpec;
+use apples_simnet::nf::dpi::{Dpi, MatchPolicy};
 use apples_simnet::nf::firewall::{synth_rules, Action, Firewall};
 use apples_simnet::nf::NfChain;
 use apples_simnet::sched::SchedulerKind;
@@ -106,6 +107,59 @@ fn sharded_runs_are_byte_identical_across_shapes_schedulers_and_shard_counts() {
             for shards in [1, 2, 4] {
                 let sharded =
                     mk().with_scheduler(kind).with_shards(shards).run(&wl, RUN_NS, WARMUP_NS);
+                assert_identical(name, &serial, &sharded, &format!("{}x{shards}", kind.label()));
+            }
+        }
+    }
+}
+
+fn ips_chain() -> NfChain {
+    NfChain::new(vec![Box::new(Dpi::new(&Dpi::demo_signatures(), MatchPolicy::Block))])
+}
+
+/// Payload (DPI) deployments: a contended 2-core host IPS and an
+/// FPGA-NIC IPS, as the IPS experiment builds them, plus an RSS host
+/// whose DPI cores land on different shards. Packets get their payload
+/// bytes as they start service, on whichever shard serves them first.
+fn payload_deployments() -> Vec<Contender> {
+    let needles = || Dpi::demo_signatures().iter().map(|s| s.to_vec()).collect::<Vec<_>>();
+    vec![
+        (
+            "ips-host-2c",
+            Box::new(move || {
+                Deployment::cpu_host_contended("ips-host-2c", 2, 0.05, ips_chain)
+                    .with_payloads(0.05, needles())
+            }),
+        ),
+        (
+            "ips-fpga",
+            Box::new(move || {
+                Deployment::fpga_offload("ips-fpga", ips_chain, 1, NfChain::empty)
+                    .with_payloads(0.05, needles())
+            }),
+        ),
+        (
+            "ips-rss-4c",
+            Box::new(move || {
+                Deployment::cpu_host_rss("ips-rss-4c", 4, ips_chain).with_payloads(0.05, needles())
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn sharded_payload_runs_are_byte_identical_at_every_shard_count() {
+    // Short runs: every served packet is synthesized and scanned byte by
+    // byte, which an unoptimized test build pays for in full.
+    let (run_ns, warmup_ns) = (3_000_000, 300_000);
+    let wl = WorkloadSpec::cbr(2e6, 1500, 16, 5);
+    for (name, mk) in payload_deployments() {
+        for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
+            let serial = mk().with_scheduler(kind).run(&wl, run_ns, warmup_ns);
+            assert!(serial.policy_drops > 0, "{name}: no payload ever matched a signature");
+            for shards in 1..=4 {
+                let sharded =
+                    mk().with_scheduler(kind).with_shards(shards).run(&wl, run_ns, warmup_ns);
                 assert_identical(name, &serial, &sharded, &format!("{}x{shards}", kind.label()));
             }
         }

@@ -195,6 +195,20 @@ cargo run -q --release --offline -p apples-bench --bin xp -- \
   bench --quick --out target/bench-obs.json --check-obs reports/obs_overhead.txt \
   > /dev/null
 
+echo "== perfbench smoke =="
+# perfbench/ is a Cargo package of its own (perfbench/README.md), so no
+# workspace build above compiles it and a simnet API change could break
+# the benchmark unseen. One short traced run per sim workload must
+# build, pass every output check, and end in "correct":true.
+for wl in sim-ips sim-firewall; do
+  python3 perfbench/run.py --workload "${wl}" --seed 1 --seconds 1 --trace 1 \
+    > "target/perfbench-${wl}.txt"
+  if ! tail -n 1 "target/perfbench-${wl}.txt" | grep -q '"correct":true'; then
+    echo "perfbench ${wl} smoke is not correct (target/perfbench-${wl}.txt)" >&2
+    exit 1
+  fi
+done
+
 echo "== dependency hygiene: workspace members only =="
 if cargo tree --offline -e normal --prefix none | grep -v '^apples' | grep -q '[^[:space:]]'; then
   echo "external crates found in cargo tree:" >&2

@@ -11,7 +11,9 @@ use apples_bench::Pool;
 
 /// Experiment reports render byte-identically under serial and
 /// work-stealing schedules. The subset includes the experiments that
-/// themselves fan out on nested pools (crossover, rfc2544).
+/// themselves fan out on nested pools (crossover, rfc2544): under the
+/// one-worker pool those inner pools run parallel, under the four-worker
+/// pool they run inline on the worker that called them.
 #[test]
 fn experiment_reports_are_schedule_independent() {
     let ids = vec!["fig1a", "ex42", "rfc2544", "crossover"];

@@ -62,10 +62,24 @@ fn bucketed_firewall_matches_linear_semantics() {
     }
 }
 
+fn naive_count(patterns: &[Vec<u8>], haystack: &[u8]) -> u64 {
+    patterns
+        .iter()
+        .map(|p| {
+            if p.len() > haystack.len() {
+                0
+            } else {
+                haystack.windows(p.len()).filter(|w| *w == p.as_slice()).count() as u64
+            }
+        })
+        .sum()
+}
+
 /// Aho–Corasick counts exactly what a naive scan counts.
 #[test]
 fn aho_corasick_matches_naive_search() {
     let mut rng = Rng::seed_from_u64(0x50B2);
+    // A four-letter alphabet, so patterns overlap and share prefixes.
     for _ in 0..300 {
         let patterns: Vec<Vec<u8>> = (0..rng.range_usize(1, 6))
             .map(|_| (0..rng.range_usize(1, 5)).map(|_| rng.range_u8_inclusive(97, 100)).collect())
@@ -74,17 +88,36 @@ fn aho_corasick_matches_naive_search() {
             (0..rng.range_usize(0, 200)).map(|_| rng.range_u8_inclusive(97, 100)).collect();
         let refs: Vec<&[u8]> = patterns.iter().map(|p| p.as_slice()).collect();
         let ac = AhoCorasick::build(&refs);
-        let naive: u64 = patterns
-            .iter()
-            .map(|p| {
-                if p.len() > haystack.len() {
-                    0
+        assert_eq!(ac.count_matches(&haystack), naive_count(&patterns, &haystack));
+    }
+    // The whole byte range: the scan indexes a transition for every
+    // byte value, 0x00 and 0x80-0xFF included. `\x90` runs of different
+    // lengths are patterns that are each other's prefixes and suffixes.
+    let alphabet = [0x00, 0x01, 0x7F, 0x80, 0x90, 0x90, 0x90, 0xC3, 0xFF, b'a'];
+    for _ in 0..300 {
+        let patterns: Vec<Vec<u8>> = (0..rng.range_usize(1, 7))
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    vec![0x90; rng.range_usize(1, 6)]
                 } else {
-                    haystack.windows(p.len()).filter(|w| *w == p.as_slice()).count() as u64
+                    (0..rng.range_usize(1, 5))
+                        .map(|_| alphabet[rng.range_usize(0, alphabet.len())])
+                        .collect()
                 }
             })
-            .sum();
-        assert_eq!(ac.count_matches(&haystack), naive);
+            .collect();
+        let haystack: Vec<u8> = (0..rng.range_usize(0, 300))
+            .map(|_| {
+                if rng.gen_bool(0.1) {
+                    rng.range_u8_inclusive(0, 255)
+                } else {
+                    alphabet[rng.range_usize(0, alphabet.len())]
+                }
+            })
+            .collect();
+        let refs: Vec<&[u8]> = patterns.iter().map(|p| p.as_slice()).collect();
+        let ac = AhoCorasick::build(&refs);
+        assert_eq!(ac.count_matches(&haystack), naive_count(&patterns, &haystack));
     }
 }
 
